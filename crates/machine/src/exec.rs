@@ -1065,7 +1065,6 @@ impl LocalStore {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 /// A buffer kept alive across a block's sequential sub-tiles because
 /// none of its references depend on the sub-tile dims (§4.2 hoisting).
 struct Persistent {
@@ -1080,69 +1079,6 @@ struct Persistent {
     extents: Vec<i64>,
     offsets: Vec<i64>,
     dirty: bool,
-}
-
-/// Write a persistent buffer's contents back to the (overlay of)
-/// global memory, once, at the end of the block. The transfer is
-/// modeled as a synchronous DMA list.
-fn writeback_persistent(
-    p: &Persistent,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<()> {
-    let flat = |idx: &[i64]| -> Option<usize> {
-        let mut off: i64 = 0;
-        for (&i, &e) in idx.iter().zip(&p.extents) {
-            if i < 0 || i >= e {
-                return None;
-            }
-            off = off * e + i;
-        }
-        Some(off as usize)
-    };
-    let mut err = None;
-    let ext = &clock.ext[p.buffer.array];
-    polymem_core::smem::movement::for_each_move_out(&p.mc, &p.buffer, &p.pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        match flat(l) {
-            Some(off) => {
-                if let Err(e) =
-                    overlay.set_idx(p.buffer.array, &p.buffer.array_name, g, ext, p.data[off])
-                {
-                    err = Some(MachineError::Ir(e));
-                }
-            }
-            None => {
-                err = Some(MachineError::Ir(polymem_ir::IrError::OutOfBounds {
-                    array: format!("persistent L{}", p.buffer.array_name),
-                    index: l.to_vec(),
-                }))
-            }
-        }
-        stats.global_writes += 1;
-        stats.moved_out += 1;
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if clock.dma_on {
-        let list = transfer_list(
-            &p.mc,
-            &p.buffer,
-            Direction::Out,
-            &clock.ext[p.buffer.array],
-            &p.pparams,
-        )?;
-        let tag = clock
-            .dma
-            .issue_list(&list, config.word_bytes, clock.now, clock.now);
-        clock.wait(&tag);
-    }
-    Ok(())
 }
 
 /// Arrays none of whose accesses depend on the kernel's seq dims:
@@ -1416,7 +1352,7 @@ fn hoist_shortcut_hits(
 
 /// One sub-tile's scratchpad state: plan, parameter vector and
 /// allocated local buffers, plus per-movement-entry staging progress
-/// (the pipelined path interleaves entries of two live sub-tiles).
+/// (a prefetched entry is staged before its sub-tile's turn).
 struct Staging {
     source: PlanRef,
     pparams: Vec<i64>,
@@ -1436,10 +1372,17 @@ struct SubBlock {
     staging: Option<Staging>,
 }
 
+impl SubBlock {
+    /// Scratchpad words this sub-tile's buffers occupy.
+    fn words(&self) -> u64 {
+        self.staging.as_ref().map_or(0, |st| st.words)
+    }
+}
+
 /// Restrict the program to one (sub-)block and build its scratchpad
-/// plan and local buffers. Footprint checks are the caller's job (the
-/// synchronous path needs one footprint resident, the double-buffered
-/// path two).
+/// plan and local buffers. Footprint checks are the caller's job (a
+/// sub-tile computed alone needs one footprint resident, one whose
+/// successor is prefetched two).
 fn prepare_sub_block(
     kernel: &BlockedKernel,
     fixed: &HashMap<String, i64>,
@@ -1503,111 +1446,6 @@ fn prepare_sub_block(
     })
 }
 
-/// A hoisted buffer whose array this sub-tile does not stage as
-/// exactly one buffer would become invisible to the tile's accesses:
-/// write dirty stale entries back first.
-fn flush_stale_persistent(
-    staging: &Staging,
-    persistent: &mut HashMap<usize, Persistent>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<()> {
-    let plan = staging.source.plan();
-    let mut stale: Vec<usize> = persistent
-        .keys()
-        .filter(|a| plan.buffers.iter().filter(|b| b.array == **a).count() != 1)
-        .copied()
-        .collect();
-    stale.sort_unstable();
-    for a in stale {
-        let p = persistent.remove(&a).expect("key listed");
-        if p.dirty {
-            writeback_persistent(&p, overlay, stats, clock, config)?;
-        }
-    }
-    Ok(())
-}
-
-/// Functionally stage one movement entry's move-in (global → local).
-/// Returns `false` when the hoist shortcut satisfied it from the
-/// persistent copy (no global traffic, nothing for the DMA engine).
-#[allow(clippy::too_many_arguments)]
-fn move_in_buffer(
-    program: &Program,
-    staging: &mut Staging,
-    mi: usize,
-    store: &ArrayStore,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<bool> {
-    let Staging {
-        source,
-        pparams,
-        local,
-        staged,
-        ..
-    } = staging;
-    let plan = source.plan();
-    let mc = &plan.movement[mi];
-    let buf = &plan.buffers[mc.buffer];
-    let name = &program.arrays[buf.array].name;
-    staged[mi] = true;
-    if let (Some(h), Some(pers)) = (hoistable, persistent) {
-        if plan_hoists(plan, buf.array, h) {
-            let shape_matches = pers.get(&buf.array).is_some_and(|p| {
-                p.extents == local.bufs[mc.buffer].1 && p.offsets == local.bufs[mc.buffer].2
-            });
-            if shape_matches {
-                let p = pers.get(&buf.array).expect("checked");
-                local.bufs[mc.buffer].0.copy_from_slice(&p.data);
-                return Ok(false);
-            }
-            // A stale differently-shaped copy must reach global
-            // memory before this sub-tile stages fresh data.
-            if let Some(p) = pers.remove(&buf.array) {
-                if p.dirty {
-                    writeback_persistent(&p, overlay, stats, clock, config)?;
-                }
-            }
-        }
-    }
-    let mut err = None;
-    let ext = &clock.ext[buf.array];
-    polymem_core::smem::movement::for_each_move_in(mc, buf, pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        match read_global(store, overlay, buf.array, name, g, ext) {
-            Ok(v) => {
-                if let Err(e) = local.set(mc.buffer, l, v) {
-                    err = Some(e);
-                }
-            }
-            Err(e) => err = Some(e),
-        }
-        stats.global_reads += 1;
-        stats.moved_in += 1;
-    })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(true),
-    }
-}
-
-/// The scratchpad contents of a sub-tile, snapshotted after its
-/// move-out so the lexicographic successor can re-base retained atoms
-/// with a scratchpad-local copy and transfer only the delta.
-struct ResidencyCarry {
-    fixed: HashMap<String, i64>,
-    local: LocalStore,
-}
-
 /// The shared plan's residency decomposition, when it applies between
 /// `prev_fixed` and `fixed`: same shared symbolic plan, and the two
 /// sub-tiles are lexicographically consecutive along the residency seq
@@ -1632,159 +1470,6 @@ fn shared_residency<'a>(
     consecutive.then_some(res)
 }
 
-/// Whether a sub-tile's plan carries a non-empty residency
-/// decomposition (worth snapshotting the local store for).
-fn residency_nonempty(source: &PlanRef) -> bool {
-    match source {
-        PlanRef::Shared(sp) => sp.residency.as_ref().is_some_and(|r| !r.is_empty()),
-        PlanRef::Owned(_) => false,
-    }
-}
-
-/// Stage one movement entry via inter-block residency: re-base the
-/// retained atoms from the predecessor's still-resident local store (a
-/// scratchpad-local copy, no global traffic) and fetch only the delta
-/// atoms from global memory. Returns the delta's DMA tag, or `None`
-/// when residency does not apply to this entry — no carried
-/// predecessor, owned plan, retention denied at planning time, or a
-/// shape-stable §4.2 persistent copy that serves the buffer for free —
-/// in which case the caller falls back to the full move-in.
-#[allow(clippy::too_many_arguments)]
-fn move_in_buffer_resident(
-    program: &Program,
-    staging: &mut Staging,
-    mi: usize,
-    fixed: &HashMap<String, i64>,
-    carry: Option<(&HashMap<String, i64>, &LocalStore)>,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
-    store: &ArrayStore,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-    earliest: u64,
-) -> Result<Option<DmaTag>> {
-    let Some((prev_fixed, prev_local)) = carry else {
-        return Ok(None);
-    };
-    let Staging {
-        source,
-        pparams,
-        local,
-        staged,
-        ..
-    } = staging;
-    let Some(res) = shared_residency(source, fixed, prev_fixed) else {
-        return Ok(None);
-    };
-    let plan = source.plan();
-    let mc = &plan.movement[mi];
-    let bi = mc.buffer;
-    let buf = &plan.buffers[bi];
-    let Some(rp) = res.plans.get(&bi) else {
-        return Ok(None);
-    };
-    if bi >= prev_local.bufs.len() {
-        return Ok(None);
-    }
-    if hoistable.is_some_and(|h| plan_hoists(plan, buf.array, h)) {
-        // The §4.2 shortcut serves a shape-stable persistent copy for
-        // free — cheaper than any delta. Defer to it when it would
-        // hit. When the parked copy's shape shifted (so the shortcut
-        // would miss and fully restage), flush it first — the
-        // predecessor's writes must reach the overlay before the
-        // delta reads it — then stage by residency.
-        let Some(pers) = persistent else {
-            return Ok(None);
-        };
-        let shape_matches = pers
-            .get(&buf.array)
-            .is_some_and(|p| p.extents == local.bufs[bi].1 && p.offsets == local.bufs[bi].2);
-        if shape_matches {
-            return Ok(None);
-        }
-        if let Some(p) = pers.remove(&buf.array) {
-            if p.dirty {
-                writeback_persistent(&p, overlay, stats, clock, config)?;
-            }
-        }
-    }
-    let name = &program.arrays[buf.array].name;
-    staged[mi] = true;
-    // Re-base the retained atoms: the predecessor's window contains
-    // them by construction (retained ⊆ W(s−1) ⊆ its bounding box), so
-    // the indexed reads below are always in bounds, boundary tiles
-    // included.
-    let prev_offsets = &prev_local.bufs[bi].2;
-    let mut err: Option<MachineError> = None;
-    let mut retained = 0u64;
-    polymem_core::smem::residency::for_each_retained(rp, buf, pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        let prev_l: Vec<i64> = buf
-            .kept_dims
-            .iter()
-            .zip(prev_offsets.iter())
-            .map(|(&d, off)| g[d] - off)
-            .collect();
-        match prev_local.get(bi, &prev_l) {
-            Ok(v) => {
-                if let Err(e) = local.set(bi, l, v) {
-                    err = Some(e);
-                }
-            }
-            Err(e) => err = Some(e),
-        }
-        retained += 1;
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    // Fetch the delta atoms — the only elements crossing the bus.
-    let ext = &clock.ext[buf.array];
-    let mut delta = 0u64;
-    polymem_core::smem::residency::for_each_delta_in(rp, buf, pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        match read_global(store, overlay, buf.array, name, g, ext) {
-            Ok(v) => {
-                if let Err(e) = local.set(bi, l, v) {
-                    err = Some(e);
-                }
-            }
-            Err(e) => err = Some(e),
-        }
-        stats.global_reads += 1;
-        stats.moved_in += 1;
-        delta += 1;
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    stats.retained_elems += retained;
-    stats.delta_elems += delta;
-    stats.residency_groups += 1;
-    let tag = clock.issue_delta(rp, buf, pparams, config, earliest, retained)?;
-    Ok(Some(tag))
-}
-
-/// What [`move_out_buffer`] did with one movement entry, telling the
-/// caller which DMA list (if any) to issue.
-enum MoveOut {
-    /// Hoisted array parked in `persistent`; nothing crossed the bus.
-    Parked,
-    /// Full move-out applied to the overlay.
-    Full,
-    /// Only the flush delta applied: the skipped elements lie in the
-    /// successor's write set and it will stage this buffer by
-    /// residency, so their newest values are already where every
-    /// legal reader looks (the carried scratchpad).
-    Delta,
-}
-
 /// The flush-delta plan for one movement entry, present iff the delta
 /// flush is legal *and* the successor sub-tile will provably stage
 /// this buffer by residency — decided with the exact predicate and
@@ -1802,82 +1487,394 @@ fn flush_delta_plan<'a>(
     rp.flush_legal.then_some(rp)
 }
 
-/// Functionally apply one movement entry's move-out (local → global
-/// overlay). Hoisted arrays park in `persistent` instead (one
-/// writeback at the end of the block). When the successor stages this
-/// buffer by residency and [`RetainPlan::flush_legal`] holds, only
-/// the flush delta is written back — the skipped elements are
-/// overwritten by a later sub-tile's flush before anything can read
-/// them from global memory.
-#[allow(clippy::too_many_arguments)]
-fn move_out_buffer(
-    staging: &Staging,
-    mi: usize,
-    fixed: &HashMap<String, i64>,
-    next_fixed: Option<&HashMap<String, i64>>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
-    ext: &[Vec<i64>],
-) -> Result<MoveOut> {
-    let plan = staging.source.plan();
-    let mc = &plan.movement[mi];
-    let buf = &plan.buffers[mc.buffer];
-    if let (Some(h), Some(pers)) = (hoistable, persistent) {
-        if plan_hoists(plan, buf.array, h) {
-            let dirty = !mc.write_spaces.is_empty();
-            let prev_dirty = pers.get(&buf.array).map(|q| q.dirty).unwrap_or(false);
-            pers.insert(
+/// One block's execution state: the launch inputs its sub-tiles read,
+/// its buffered global writes, counters and modeled clock, and the
+/// §4.2 hoisting state shared by its sub-tiles.
+struct BlockState<'a> {
+    program: &'a Program,
+    store: &'a ArrayStore,
+    config: &'a MachineConfig,
+    profiler: Option<&'a PassProfiler>,
+    overlay: Overlay,
+    stats: ExecStats,
+    clock: BlockClock,
+    /// Arrays whose staged buffers are identical across the block's
+    /// sub-tiles (empty without a staged seq loop).
+    hoistable: HashSet<usize>,
+    /// Parked copies of hoisted buffers, keyed by array.
+    persistent: HashMap<usize, Persistent>,
+}
+
+impl BlockState<'_> {
+    /// Drop the parked copy of `array`, writing it back to the overlay
+    /// first if a sub-tile wrote it. The writeback is modeled as a
+    /// synchronous DMA list.
+    fn flush_parked(&mut self, array: usize) -> Result<()> {
+        let Some(p) = self.persistent.remove(&array) else {
+            return Ok(());
+        };
+        if !p.dirty {
+            return Ok(());
+        }
+        let flat = |idx: &[i64]| -> Option<usize> {
+            let mut off: i64 = 0;
+            for (&i, &e) in idx.iter().zip(&p.extents) {
+                if i < 0 || i >= e {
+                    return None;
+                }
+                off = off * e + i;
+            }
+            Some(off as usize)
+        };
+        let mut err = None;
+        let ext = &self.clock.ext[p.buffer.array];
+        let (overlay, stats) = (&mut self.overlay, &mut self.stats);
+        polymem_core::smem::movement::for_each_move_out(
+            &p.mc,
+            &p.buffer,
+            &p.pparams,
+            &mut |g, l| {
+                if err.is_some() {
+                    return;
+                }
+                match flat(l) {
+                    Some(off) => {
+                        if let Err(e) = overlay.set_idx(
+                            p.buffer.array,
+                            &p.buffer.array_name,
+                            g,
+                            ext,
+                            p.data[off],
+                        ) {
+                            err = Some(MachineError::Ir(e));
+                        }
+                    }
+                    None => {
+                        err = Some(MachineError::Ir(polymem_ir::IrError::OutOfBounds {
+                            array: format!("persistent L{}", p.buffer.array_name),
+                            index: l.to_vec(),
+                        }))
+                    }
+                }
+                stats.global_writes += 1;
+                stats.moved_out += 1;
+            },
+        )?;
+        if let Some(e) = err {
+            return Err(e);
+        }
+        if self.clock.dma_on {
+            let list = transfer_list(&p.mc, &p.buffer, Direction::Out, ext, &p.pparams)?;
+            let now = self.clock.now;
+            let tag = self
+                .clock
+                .dma
+                .issue_list(&list, self.config.word_bytes, now, now);
+            self.clock.wait(&tag);
+        }
+        Ok(())
+    }
+
+    /// Stage movement entry `mi` of `cur` (global → local) and queue
+    /// its DMA list, returning the tag to wait on — `None` when the
+    /// §4.2 shortcut served it. In order: a shape-stable parked copy
+    /// serves it for free; otherwise a stale parked copy of the array
+    /// reaches global memory first; then residency re-bases the atoms
+    /// the predecessor `pred` still holds and fetches only the delta;
+    /// else the full move-in runs. Transfers start no earlier than
+    /// `earliest`.
+    fn move_in(
+        &mut self,
+        cur: &mut SubBlock,
+        mi: usize,
+        pred: Option<&SubBlock>,
+        earliest: u64,
+    ) -> Result<Option<DmaTag>> {
+        let (program, store, config) = (self.program, self.store, self.config);
+        let Staging {
+            source,
+            pparams,
+            local,
+            staged,
+            ..
+        } = cur.staging.as_mut().expect("staged");
+        let plan = source.plan();
+        let mc = &plan.movement[mi];
+        let bi = mc.buffer;
+        let buf = &plan.buffers[bi];
+        staged[mi] = true;
+        if plan_hoists(plan, buf.array, &self.hoistable) {
+            if let Some(p) = self.persistent.get(&buf.array) {
+                if p.extents == local.bufs[bi].1 && p.offsets == local.bufs[bi].2 {
+                    local.bufs[bi].0.copy_from_slice(&p.data);
+                    return Ok(None);
+                }
+            }
+            self.flush_parked(buf.array)?;
+        }
+        // Residency: the predecessor's window contains the retained
+        // atoms by construction (retained ⊆ W(s−1) ⊆ its bounding box),
+        // so the indexed reads below are always in bounds, boundary
+        // tiles included.
+        let retain = pred.and_then(|p| {
+            let prev_local = &p.staging.as_ref()?.local;
+            let rp = shared_residency(source, &cur.fixed, &p.fixed)?
+                .plans
+                .get(&bi)?;
+            (bi < prev_local.bufs.len()).then_some((rp, prev_local))
+        });
+        let mut err: Option<MachineError> = None;
+        let mut retained = 0u64;
+        if let Some((rp, prev_local)) = retain {
+            let prev_offsets = &prev_local.bufs[bi].2;
+            polymem_core::smem::residency::for_each_retained(rp, buf, pparams, &mut |g, l| {
+                if err.is_some() {
+                    return;
+                }
+                let prev_l = level1_index(buf, prev_offsets, g);
+                if let Err(e) = prev_local
+                    .get(bi, &prev_l)
+                    .and_then(|v| local.set(bi, l, v))
+                {
+                    err = Some(e);
+                }
+                retained += 1;
+            })?;
+            if let Some(e) = err.take() {
+                return Err(e);
+            }
+        }
+        // Fetch from global memory: the delta atoms under residency
+        // (the only elements crossing the bus), else the whole window.
+        let name = &program.arrays[buf.array].name;
+        let ext = &self.clock.ext[buf.array];
+        let (overlay, stats) = (&self.overlay, &mut self.stats);
+        let mut fetched = 0u64;
+        let mut fetch = |g: &[i64], l: &[i64]| {
+            if err.is_some() {
+                return;
+            }
+            match read_global(store, overlay, buf.array, name, g, ext) {
+                Ok(v) => {
+                    if let Err(e) = local.set(bi, l, v) {
+                        err = Some(e);
+                    }
+                }
+                Err(e) => err = Some(e),
+            }
+            stats.global_reads += 1;
+            stats.moved_in += 1;
+            fetched += 1;
+        };
+        match retain {
+            Some((rp, _)) => {
+                polymem_core::smem::residency::for_each_delta_in(rp, buf, pparams, &mut fetch)?
+            }
+            None => polymem_core::smem::movement::for_each_move_in(mc, buf, pparams, &mut fetch)?,
+        }
+        if let Some(e) = err {
+            return Err(e);
+        }
+        let tag = match retain {
+            Some((rp, _)) => {
+                self.stats.retained_elems += retained;
+                self.stats.delta_elems += fetched;
+                self.stats.residency_groups += 1;
+                self.clock
+                    .issue_delta(rp, buf, pparams, config, earliest, retained)?
+            }
+            None => {
+                self.clock
+                    .issue_movement(plan, mi, pparams, Direction::In, config, earliest)?
+            }
+        };
+        Ok(Some(tag))
+    }
+
+    /// Apply movement entry `mi`'s move-out (local → global overlay)
+    /// and queue its DMA list, returning the tag — `None` when the
+    /// hoisted buffer parks instead (one writeback at the end of the
+    /// block). When the successor `next_fixed` stages this buffer by
+    /// residency and [`RetainPlan::flush_legal`] holds, only the flush
+    /// delta is written back: the skipped elements are overwritten by
+    /// a later sub-tile's flush before anything can read them from
+    /// global memory, and meanwhile every legal reader finds them in
+    /// the still-live predecessor's scratchpad.
+    fn move_out(
+        &mut self,
+        sb: &SubBlock,
+        mi: usize,
+        next_fixed: Option<&HashMap<String, i64>>,
+    ) -> Result<Option<DmaTag>> {
+        let st = sb.staging.as_ref().expect("staged");
+        let plan = st.source.plan();
+        let mc = &plan.movement[mi];
+        let buf = &plan.buffers[mc.buffer];
+        if plan_hoists(plan, buf.array, &self.hoistable) {
+            let prev_dirty = self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
+            let (data, extents, offsets) = st.local.bufs[mc.buffer].clone();
+            self.persistent.insert(
                 buf.array,
                 Persistent {
                     buffer: buf.clone(),
                     mc: mc.clone(),
-                    pparams: staging.pparams.clone(),
-                    data: staging.local.bufs[mc.buffer].0.clone(),
-                    extents: staging.local.bufs[mc.buffer].1.clone(),
-                    offsets: staging.local.bufs[mc.buffer].2.clone(),
-                    dirty: dirty || prev_dirty,
+                    pparams: st.pparams.clone(),
+                    data,
+                    extents,
+                    offsets,
+                    dirty: !mc.write_spaces.is_empty() || prev_dirty,
                 },
             );
-            return Ok(MoveOut::Parked);
+            return Ok(None);
         }
+        let flush = flush_delta_plan(st, mi, &sb.fixed, next_fixed);
+        let (ls, overlay) = (&st.local, &mut self.overlay);
+        let aext = &self.clock.ext[buf.array];
+        let mut err = None;
+        let mut n = 0u64;
+        let mut copy = |g: &[i64], l: &[i64]| {
+            if err.is_some() {
+                return;
+            }
+            match ls.get(mc.buffer, l) {
+                Ok(v) => {
+                    if let Err(e) = overlay.set_idx(buf.array, &buf.array_name, g, aext, v) {
+                        err = Some(MachineError::Ir(e));
+                    }
+                }
+                Err(e) => err = Some(e),
+            }
+            n += 1;
+        };
+        match flush {
+            Some(rp) => polymem_core::smem::residency::for_each_flush_delta(
+                rp,
+                buf,
+                &st.pparams,
+                &mut copy,
+            )?,
+            None => {
+                polymem_core::smem::movement::for_each_move_out(mc, buf, &st.pparams, &mut copy)?
+            }
+        }
+        if let Some(e) = err {
+            return Err(e);
+        }
+        self.stats.global_writes += n;
+        self.stats.moved_out += n;
+        let now = self.clock.now;
+        let tag = match flush {
+            Some(rp) => {
+                self.stats.flushed_delta_elems += n;
+                self.clock
+                    .issue_flush(rp, buf, &st.pparams, self.config, now)?
+            }
+            None => self.clock.issue_movement(
+                plan,
+                mi,
+                &st.pparams,
+                Direction::Out,
+                self.config,
+                now,
+            )?,
+        };
+        Ok(Some(tag))
     }
-    let flush = flush_delta_plan(staging, mi, fixed, next_fixed);
-    let ls = &staging.local;
-    let mut err = None;
-    let mut n = 0u64;
-    let aext = &ext[buf.array];
-    let mut copy = |g: &[i64], l: &[i64]| {
-        if err.is_some() {
-            return;
+
+    /// Stage every movement entry of `sb` that prefetching left
+    /// unstaged, waiting on each transfer at issue; it starts no
+    /// earlier than `earliest` (the predecessor's move-out, whose slots
+    /// it reuses). A hoisted copy the sub-tile does not stage as
+    /// exactly one buffer would become invisible to its accesses, so
+    /// such stale copies are written back first. `poisoned`, when the
+    /// sub-tile had a prefetch opportunity, counts the groups a
+    /// seq-carried flow dependence kept synchronous.
+    fn stage(
+        &mut self,
+        sb: &mut SubBlock,
+        pred: Option<&SubBlock>,
+        earliest: u64,
+        poisoned: Option<&HashSet<AccessId>>,
+    ) -> Result<()> {
+        let Some(st) = sb.staging.as_ref() else {
+            return Ok(());
+        };
+        let t0 = Instant::now();
+        let plan = st.source.plan();
+        let mut stale: Vec<usize> = self
+            .persistent
+            .keys()
+            .filter(|a| plan.buffers.iter().filter(|b| b.array == **a).count() != 1)
+            .copied()
+            .collect();
+        stale.sort_unstable();
+        for a in stale {
+            self.flush_parked(a)?;
         }
-        match ls.get(mc.buffer, l) {
-            Ok(v) => {
-                if let Err(e) = overlay.set_idx(buf.array, &buf.array_name, g, aext, v) {
-                    err = Some(MachineError::Ir(e));
+        for mi in 0..plan.movement.len() {
+            let st = sb.staging.as_ref().expect("staged");
+            if st.staged[mi] {
+                continue;
+            }
+            let plan = st.source.plan();
+            let array = plan.buffers[plan.movement[mi].buffer].array;
+            let denied = poisoned.is_some_and(|p| {
+                !plan_hoists(plan, array, &self.hoistable) && buffer_poisoned(plan, mi, p)
+            });
+            if let Some(tag) = self.move_in(sb, mi, pred, earliest)? {
+                self.clock.wait(&tag);
+                if denied {
+                    self.stats.sync_groups += 1;
                 }
             }
-            Err(e) => err = Some(e),
         }
-        n += 1;
-    };
-    let out = if let Some(rp) = flush {
-        polymem_core::smem::residency::for_each_flush_delta(rp, buf, &staging.pparams, &mut copy)?;
-        MoveOut::Delta
-    } else {
-        polymem_core::smem::movement::for_each_move_out(mc, buf, &staging.pparams, &mut copy)?;
-        MoveOut::Full
-    };
-    if let Some(e) = err {
-        return Err(e);
+        if let Some(pr) = self.profiler {
+            pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
+        }
+        Ok(())
     }
-    stats.global_writes += n;
-    stats.moved_out += n;
-    if matches!(out, MoveOut::Delta) {
-        stats.flushed_delta_elems += n;
+
+    /// Prefetch `next`'s overlap-legal groups while `cur` computes: the
+    /// transfers fly on the DMA channels, starting no earlier than
+    /// `earliest`. Functionally the copies happen before `cur`'s
+    /// writes, which the legality checks license: only read-only,
+    /// dependence-free buffers the hoist shortcut cannot satisfy
+    /// prefetch (a written buffer's move-in may read locations `cur`
+    /// writes — an output/anti dependence the flow-dep check does not
+    /// cover), and `cur`'s pre-compute contents already hold the values
+    /// residency retains.
+    fn prefetch(
+        &mut self,
+        next: &mut SubBlock,
+        cur: &SubBlock,
+        poisoned: &HashSet<AccessId>,
+        earliest: u64,
+    ) -> Result<()> {
+        let t0 = Instant::now();
+        let n_move = next
+            .staging
+            .as_ref()
+            .map_or(0, |st| st.source.plan().movement.len());
+        for mi in 0..n_move {
+            let nst = next.staging.as_ref().expect("staged");
+            let plan = nst.source.plan();
+            let bi = plan.movement[mi].buffer;
+            if !plan.movement[mi].write_spaces.is_empty()
+                || buffer_poisoned(plan, mi, poisoned)
+                || hoist_shortcut_hits(cur, nst, bi, plan.buffers[bi].array, &self.hoistable)
+            {
+                continue;
+            }
+            if let Some(tag) = self.move_in(next, mi, Some(cur), earliest)? {
+                next.staging.as_mut().expect("staged").tags.push(tag);
+                self.stats.overlap_groups += 1;
+            }
+        }
+        if let Some(pr) = self.profiler {
+            pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
+        }
+        Ok(())
     }
-    Ok(out)
 }
 
 /// Execute the sub-block's statement instances in interleaved source
@@ -2426,6 +2423,20 @@ fn interpreted_compute(
     Ok((n_inst, n_smem, n_glob))
 }
 
+/// Run one block: its sub-tiles (one per value of the staged seq dims,
+/// or the whole block when there is no staged seq loop) in order, each
+/// staged, computed and moved out, with §4.2 hoisting across them.
+///
+/// One schedule covers every case; only its depth varies. At depth 1
+/// every DMA tag is waited on as soon as it is issued — the fully
+/// synchronous schedule, since the DMA engine starts a transfer at
+/// `max(now, earliest, channel free)` and `earliest` never exceeds
+/// `now` there. At depth 2 — double buffering with a legality set
+/// (`poisoned`) and at least two sub-tiles — the successor is prepared
+/// and its overlap-legal groups prefetched while the current sub-tile
+/// computes, and the move-out is not waited on, overlapping the
+/// successor. Both depths compute identical arrays: a group is
+/// prefetched only when it reads nothing the current sub-tile writes.
 #[allow(clippy::too_many_arguments)]
 fn execute_one_block(
     kernel: &BlockedKernel,
@@ -2439,625 +2450,141 @@ fn execute_one_block(
     launch: &LaunchShared,
     block_idx: u64,
 ) -> Result<(Overlay, ExecStats)> {
-    let mut overlay = Overlay::new(kernel.program.arrays.len());
-    let mut stats = ExecStats {
-        blocks: 1,
-        ..ExecStats::default()
-    };
-    let mut clock = BlockClock::new(launch.ext.clone(), config, block_idx);
-    if kernel.use_scratchpad && !kernel.seq_dims.is_empty() {
-        // Sequential sub-tiles with §4.2 hoisting.
-        let Some(lead) = kernel.program.stmts.first() else {
-            return Ok((overlay, stats));
-        };
-        let seq_vals = enumerate_named(lead, &kernel.seq_dims, params, fixed, config.enum_budget)?;
-        let seqs = if seq_vals.is_empty() {
-            vec![Vec::new()]
+    let program = &kernel.program;
+    let staged_seq = kernel.use_scratchpad && !kernel.seq_dims.is_empty();
+    let mut fixeds = Vec::new();
+    if let (true, Some(lead)) = (staged_seq, program.stmts.first()) {
+        for sv in enumerate_named(lead, &kernel.seq_dims, params, fixed, config.enum_budget)? {
+            let mut f2 = fixed.clone();
+            f2.extend(kernel.seq_dims.iter().cloned().zip(sv));
+            fixeds.push(f2);
+        }
+    }
+    if fixeds.is_empty() {
+        fixeds.push(fixed.clone());
+    }
+    let mut bs = BlockState {
+        program,
+        store,
+        config,
+        profiler,
+        overlay: Overlay::new(program.arrays.len()),
+        stats: ExecStats {
+            blocks: 1,
+            ..ExecStats::default()
+        },
+        clock: BlockClock::new(launch.ext.clone(), config, block_idx),
+        hoistable: if staged_seq {
+            seq_redundant_arrays(kernel)
         } else {
-            seq_vals
-        };
-        let hoistable = seq_redundant_arrays(kernel);
-        let mut persistent: HashMap<usize, Persistent> = HashMap::new();
-        match poisoned {
-            Some(poisoned) if config.double_buffer && seqs.len() > 1 => {
-                execute_block_pipelined(
+            HashSet::new()
+        },
+        persistent: HashMap::new(),
+    };
+    let poisoned = poisoned.filter(|_| fixeds.len() > 1);
+    let wb = config.word_bytes;
+    let mut prev: Option<SubBlock> = None;
+    let mut next: Option<SubBlock> = None;
+    // When the previous sub-tile's move-out completes: move-ins reuse
+    // its slots, so they start no earlier.
+    let mut out_done = 0u64;
+    for t in 0..fixeds.len() {
+        let mut cur = match next.take() {
+            Some(nx) => nx,
+            None => {
+                let sb = prepare_sub_block(
                     kernel,
-                    fixed,
+                    &fixeds[t],
                     params,
-                    store,
                     config,
                     cache,
                     profiler,
-                    &mut overlay,
-                    &mut stats,
-                    &mut clock,
-                    &seqs,
-                    &hoistable,
-                    &mut persistent,
-                    poisoned,
-                    launch,
+                    &mut bs.stats,
                 )?;
-            }
-            _ => {
-                let mut carry: Option<ResidencyCarry> = None;
-                let fixeds: Vec<HashMap<String, i64>> = seqs
-                    .iter()
-                    .map(|sv| {
-                        let mut f2 = fixed.clone();
-                        for (n, v) in kernel.seq_dims.iter().zip(sv) {
-                            f2.insert(n.clone(), *v);
-                        }
-                        f2
-                    })
-                    .collect();
-                for (i, f2) in fixeds.iter().enumerate() {
-                    run_sub_block(
-                        kernel,
-                        f2,
-                        params,
-                        store,
-                        config,
-                        cache,
-                        profiler,
-                        &mut overlay,
-                        &mut stats,
-                        Some((&hoistable, &mut persistent)),
-                        &mut clock,
-                        launch,
-                        Some(&mut carry),
-                        fixeds.get(i + 1),
-                    )?;
+                if config.smem_bytes > 0 && sb.words() * wb > config.smem_bytes {
+                    return Err(MachineError::ScratchpadOverflow {
+                        requested: sb.words() * wb,
+                        available: config.smem_bytes,
+                    });
                 }
+                sb
+            }
+        };
+        bs.stage(
+            &mut cur,
+            prev.as_ref(),
+            out_done,
+            poisoned.filter(|_| t > 0),
+        )?;
+        if let (Some(poisoned), Some(f)) = (poisoned, fixeds.get(t + 1)) {
+            let mut nx =
+                prepare_sub_block(kernel, f, params, config, cache, profiler, &mut bs.stats)?;
+            let words = cur.words() + nx.words();
+            if config.smem_bytes > 0 && words * wb > config.smem_bytes {
+                return Err(MachineError::DoubleBufferOverflow {
+                    requested: words * wb,
+                    available: config.smem_bytes,
+                });
+            }
+            bs.prefetch(&mut nx, &cur, poisoned, out_done)?;
+            next = Some(nx);
+        }
+        // The prefetches for `cur` must have landed before its compute
+        // touches the buffers.
+        if let Some(st) = cur.staging.as_mut() {
+            for tag in std::mem::take(&mut st.tags) {
+                bs.clock.wait(&tag);
             }
         }
-        // Deterministic writeback order (DMA timing depends on it).
-        let mut arrays: Vec<usize> = persistent.keys().copied().collect();
-        arrays.sort_unstable();
-        for a in arrays {
-            let p = &persistent[&a];
-            if p.dirty {
-                writeback_persistent(p, &mut overlay, &mut stats, &mut clock, config)?;
-            }
-        }
-    } else {
-        run_sub_block(
+        compute_sub_block(
             kernel,
-            fixed,
+            &mut cur,
             params,
             store,
             config,
             cache,
             profiler,
-            &mut overlay,
-            &mut stats,
-            None,
-            &mut clock,
+            &mut bs.overlay,
+            &mut bs.stats,
+            &mut bs.clock,
             launch,
-            None,
-            None,
         )?;
-    }
-    clock.now = clock.dma.drain(clock.now);
-    stats.block_cycles = clock.now;
-    stats.dma = clock.dma.stats.clone();
-    Ok((overlay, stats))
-}
-
-/// One sub-block, fully synchronous: stage in, compute, stage out,
-/// each DMA list waited on at issue. `carry_slot`, when threaded by a
-/// sequential sub-tile loop, holds the predecessor's scratchpad
-/// snapshot on entry (served to the residency staging path) and is
-/// replaced by this sub-tile's own snapshot on exit. `next_fixed` is
-/// the successor sub-tile's fixed-dim map (when one exists), feeding
-/// the flush-delta decision of [`move_out_buffer`].
-#[allow(clippy::too_many_arguments)]
-fn run_sub_block(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    mut hoist: Option<(&HashSet<usize>, &mut HashMap<usize, Persistent>)>,
-    clock: &mut BlockClock,
-    launch: &LaunchShared,
-    carry_slot: Option<&mut Option<ResidencyCarry>>,
-    next_fixed: Option<&HashMap<String, i64>>,
-) -> Result<()> {
-    let mut sb = prepare_sub_block(kernel, fixed, params, config, cache, profiler, stats)?;
-    if let Some(st) = &sb.staging {
-        if config.smem_bytes > 0 && st.words * config.word_bytes > config.smem_bytes {
-            return Err(MachineError::ScratchpadOverflow {
-                requested: st.words * config.word_bytes,
-                available: config.smem_bytes,
-            });
-        }
-    }
-    if let Some(n_move) = sb
-        .staging
-        .as_ref()
-        .map(|st| st.source.plan().movement.len())
-    {
-        let t0 = Instant::now();
-        if let (Some(st), Some((_, persistent))) = (&sb.staging, hoist.as_mut()) {
-            flush_stale_persistent(st, persistent, overlay, stats, clock, config)?;
-        }
-        for mi in 0..n_move {
-            let prev = carry_slot
-                .as_deref()
-                .and_then(|c| c.as_ref())
-                .map(|c| (&c.fixed, &c.local));
-            let st = sb.staging.as_mut().expect("staged");
-            let now = clock.now;
-            let (h_set, h_pers) = match hoist.as_mut() {
-                Some((h, p)) => (Some(&**h), Some(&mut **p)),
-                None => (None, None),
-            };
-            if let Some(tag) = move_in_buffer_resident(
-                &kernel.program,
-                st,
-                mi,
-                &sb.fixed,
-                prev,
-                h_set,
-                h_pers,
-                store,
-                overlay,
-                stats,
-                clock,
-                config,
-                now,
-            )? {
-                clock.wait(&tag);
-                continue;
-            }
-            let st = sb.staging.as_mut().expect("staged");
-            let real = move_in_buffer(
-                &kernel.program,
-                st,
-                mi,
-                store,
-                overlay,
-                stats,
-                hoist.as_ref().map(|(h, _)| *h),
-                hoist.as_mut().map(|(_, p)| &mut **p),
-                clock,
-                config,
-            )?;
-            if real {
-                let st = sb.staging.as_ref().expect("staged");
-                let tag = clock.issue_movement(
-                    st.source.plan(),
-                    mi,
-                    &st.pparams,
-                    Direction::In,
-                    config,
-                    clock.now,
-                )?;
-                clock.wait(&tag);
-            }
-        }
-        if let Some(pr) = profiler {
-            pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-        }
-    }
-    compute_sub_block(
-        kernel, &mut sb, params, store, config, cache, profiler, overlay, stats, clock, launch,
-    )?;
-    if let Some(n_move) = sb
-        .staging
-        .as_ref()
-        .map(|st| st.source.plan().movement.len())
-    {
-        let t0 = Instant::now();
-        for mi in 0..n_move {
-            let st = sb.staging.as_ref().expect("staged");
-            let out = move_out_buffer(
-                st,
-                mi,
-                &sb.fixed,
-                next_fixed,
-                overlay,
-                stats,
-                hoist.as_ref().map(|(h, _)| *h),
-                hoist.as_mut().map(|(_, p)| &mut **p),
-                &clock.ext,
-            )?;
-            match out {
-                MoveOut::Parked => {}
-                MoveOut::Full => {
-                    let st = sb.staging.as_ref().expect("staged");
-                    let tag = clock.issue_movement(
-                        st.source.plan(),
-                        mi,
-                        &st.pparams,
-                        Direction::Out,
-                        config,
-                        clock.now,
-                    )?;
-                    clock.wait(&tag);
-                }
-                MoveOut::Delta => {
-                    let st = sb.staging.as_ref().expect("staged");
-                    let plan = st.source.plan();
-                    let buf = &plan.buffers[plan.movement[mi].buffer];
-                    let rp = flush_delta_plan(st, mi, &sb.fixed, next_fixed).expect("flushed");
-                    let tag = clock.issue_flush(rp, buf, &st.pparams, config, clock.now)?;
-                    clock.wait(&tag);
-                }
-            }
-        }
-        if let Some(pr) = profiler {
-            pr.record(crate::trace::PassKind::MoveOut, t0.elapsed());
-        }
-    }
-    // Snapshot the post-move-out scratchpad for the successor's delta
-    // staging. The snapshot holds the newest value of every element
-    // (flushing copies out of it, never into it), so it stays correct
-    // under a delta flush: skipped elements are exactly the ones the
-    // successor serves from this snapshot instead of global memory.
-    if let Some(slot) = carry_slot {
-        *slot = sb.staging.as_ref().and_then(|st| {
-            residency_nonempty(&st.source).then(|| ResidencyCarry {
-                fixed: sb.fixed.clone(),
-                local: st.local.clone(),
-            })
-        });
-    }
-    Ok(())
-}
-
-/// Stage every movement entry prefetching skipped, synchronously:
-/// the stale-persistent flush, hoisted-copy shortcuts, and groups
-/// pinned by a seq-carried flow dependence (counted in `sync_groups`
-/// when `count_denied`). Transfers start no earlier than `earliest`.
-#[allow(clippy::too_many_arguments)]
-fn stage_remaining_sync(
-    kernel: &BlockedKernel,
-    sb: &mut SubBlock,
-    store: &ArrayStore,
-    config: &MachineConfig,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
-    clock: &mut BlockClock,
-    poisoned: &HashSet<AccessId>,
-    earliest: u64,
-    count_denied: bool,
-    carry: Option<(&HashMap<String, i64>, &LocalStore)>,
-) -> Result<()> {
-    if sb.staging.is_none() {
-        return Ok(());
-    }
-    let t0 = Instant::now();
-    if let Some(st) = &sb.staging {
-        flush_stale_persistent(st, persistent, overlay, stats, clock, config)?;
-    }
-    let n_move = sb
-        .staging
-        .as_ref()
-        .map_or(0, |st| st.source.plan().movement.len());
-    for mi in 0..n_move {
-        if sb.staging.as_ref().expect("staged").staged[mi] {
-            continue;
-        }
-        let denied = {
-            let plan = sb.staging.as_ref().expect("staged").source.plan();
-            !plan_hoists(
-                plan,
-                plan.buffers[plan.movement[mi].buffer].array,
-                hoistable,
-            ) && buffer_poisoned(plan, mi, poisoned)
-        };
-        // Residency first: the predecessor has computed and flushed
-        // by now, so even written or dependence-carrying groups may
-        // re-base their retained atoms from its snapshot.
-        let st = sb.staging.as_mut().expect("staged");
-        if let Some(tag) = move_in_buffer_resident(
-            &kernel.program,
-            st,
-            mi,
-            &sb.fixed,
-            carry,
-            Some(hoistable),
-            Some(persistent),
-            store,
-            overlay,
-            stats,
-            clock,
-            config,
-            earliest,
-        )? {
-            clock.wait(&tag);
-            if count_denied && denied {
-                stats.sync_groups += 1;
-            }
-            continue;
-        }
-        let st = sb.staging.as_mut().expect("staged");
-        let real = move_in_buffer(
-            &kernel.program,
-            st,
-            mi,
-            store,
-            overlay,
-            stats,
-            Some(hoistable),
-            Some(persistent),
-            clock,
-            config,
-        )?;
-        if real {
-            let st = sb.staging.as_ref().expect("staged");
-            let tag = clock.issue_movement(
-                st.source.plan(),
-                mi,
-                &st.pparams,
-                Direction::In,
-                config,
-                earliest,
-            )?;
-            clock.wait(&tag);
-            if count_denied && denied {
-                stats.sync_groups += 1;
-            }
-        }
-    }
-    if let Some(pr) = profiler {
-        pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-    }
-    Ok(())
-}
-
-/// Software-pipelined sub-tile loop (double buffering): while
-/// sub-tile t computes, the move-in for t+1 is in flight on the DMA
-/// channels, and t's move-out is issued right after its compute and
-/// overlaps t+1. Functional semantics stay identical to the
-/// synchronous schedule: prefetched groups carry no seq-dim flow
-/// dependence (checked by the caller via `overlap_poisoned_reads`),
-/// and everything else — hoisted copies, poisoned groups — stages
-/// after the previous sub-tile's move-out, exactly as in the
-/// synchronous path.
-#[allow(clippy::too_many_arguments)]
-fn execute_block_pipelined(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    seqs: &[Vec<i64>],
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
-    poisoned: &HashSet<AccessId>,
-    launch: &LaunchShared,
-) -> Result<()> {
-    let fixed_for = |sv: &[i64]| {
-        let mut f2 = fixed.clone();
-        for (n, v) in kernel.seq_dims.iter().zip(sv) {
-            f2.insert(n.clone(), *v);
-        }
-        f2
-    };
-    let wb = config.word_bytes;
-    let mut cur = prepare_sub_block(
-        kernel,
-        &fixed_for(&seqs[0]),
-        params,
-        config,
-        cache,
-        profiler,
-        stats,
-    )?;
-    if let Some(st) = &cur.staging {
-        if config.smem_bytes > 0 && st.words * wb > config.smem_bytes {
-            return Err(MachineError::ScratchpadOverflow {
-                requested: st.words * wb,
-                available: config.smem_bytes,
-            });
-        }
-    }
-    // Sub-tile 0 stages synchronously: nothing to overlap with yet.
-    stage_remaining_sync(
-        kernel, &mut cur, store, config, profiler, overlay, stats, hoistable, persistent, clock,
-        poisoned, 0, false, None,
-    )?;
-    let mut reuse_ready = clock.now;
-    for t in 0..seqs.len() {
-        // Prepare t+1 and prefetch its overlap-legal, non-hoisted
-        // groups; the transfers fly while t computes. Functionally the
-        // copies happen before t's writes, which is exactly what the
-        // legality check licenses.
-        let mut next = if t + 1 < seqs.len() {
-            let mut nx = prepare_sub_block(
-                kernel,
-                &fixed_for(&seqs[t + 1]),
-                params,
-                config,
-                cache,
-                profiler,
-                stats,
-            )?;
-            let cw = cur.staging.as_ref().map_or(0, |s| s.words);
-            let nw = nx.staging.as_ref().map_or(0, |s| s.words);
-            if config.smem_bytes > 0 && (cw + nw) * wb > config.smem_bytes {
-                return Err(MachineError::DoubleBufferOverflow {
-                    requested: (cw + nw) * wb,
-                    available: config.smem_bytes,
-                });
-            }
-            let t0 = Instant::now();
-            let n_move = nx
-                .staging
-                .as_ref()
-                .map_or(0, |st| st.source.plan().movement.len());
-            for mi in 0..n_move {
-                {
-                    let nst = nx.staging.as_ref().expect("staged");
-                    let plan = nst.source.plan();
-                    let bi = plan.movement[mi].buffer;
-                    let array = plan.buffers[bi].array;
-                    // Only read-only, dependence-free buffers the
-                    // hoist shortcut cannot satisfy prefetch: a
-                    // written buffer's move-in may read locations the
-                    // previous sub-tile wrote (an output/anti
-                    // dependence the flow-dep check does not cover).
-                    if !plan.movement[mi].write_spaces.is_empty()
-                        || buffer_poisoned(plan, mi, poisoned)
-                        || hoist_shortcut_hits(&cur, nst, bi, array, hoistable)
-                    {
-                        continue;
-                    }
-                }
-                // Residency first: the group is read-only (checked
-                // above) and retention-legal, so `cur`'s pre-compute
-                // contents already hold the retained values — re-base
-                // locally and prefetch only the delta.
-                let prev = cur.staging.as_ref().map(|cs| (&cur.fixed, &cs.local));
-                let st = nx.staging.as_mut().expect("staged");
-                if let Some(tag) = move_in_buffer_resident(
-                    &kernel.program,
-                    st,
-                    mi,
-                    &nx.fixed,
-                    prev,
-                    Some(hoistable),
-                    Some(persistent),
-                    store,
-                    overlay,
-                    stats,
-                    clock,
-                    config,
-                    reuse_ready,
-                )? {
-                    nx.staging.as_mut().expect("staged").tags.push(tag);
-                    stats.overlap_groups += 1;
-                    continue;
-                }
-                let st = nx.staging.as_mut().expect("staged");
-                let real = move_in_buffer(
-                    &kernel.program,
-                    st,
-                    mi,
-                    store,
-                    overlay,
-                    stats,
-                    None,
-                    None,
-                    clock,
-                    config,
-                )?;
-                if real {
-                    let st = nx.staging.as_ref().expect("staged");
-                    let tag = clock.issue_movement(
-                        st.source.plan(),
-                        mi,
-                        &st.pparams,
-                        Direction::In,
-                        config,
-                        reuse_ready,
-                    )?;
-                    nx.staging.as_mut().expect("staged").tags.push(tag);
-                    stats.overlap_groups += 1;
-                }
-            }
-            if let Some(pr) = profiler {
-                pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-            }
-            Some(nx)
-        } else {
-            None
-        };
-        // The prefetches for `cur` (issued while t−1 computed) must
-        // have landed before its compute touches the buffers.
-        if let Some(st) = cur.staging.as_mut() {
-            let tags = std::mem::take(&mut st.tags);
-            for tag in &tags {
-                clock.wait(tag);
-            }
-        }
-        compute_sub_block(
-            kernel, &mut cur, params, store, config, cache, profiler, overlay, stats, clock, launch,
-        )?;
-        // Move-out of t: applied functionally now (same order as the
-        // synchronous schedule), its DMA time overlapping t+1's
-        // compute. Move-in for t+2 reuses these slots, so it starts
-        // no earlier than `out_done`.
-        let mut out_done = clock.now;
+        out_done = bs.clock.now;
         if let Some(n_move) = cur
             .staging
             .as_ref()
             .map(|st| st.source.plan().movement.len())
         {
             let t0 = Instant::now();
-            let next_fixed = next.as_ref().map(|nx| &nx.fixed);
             for mi in 0..n_move {
-                let st = cur.staging.as_ref().expect("staged");
-                let out = move_out_buffer(
-                    st,
-                    mi,
-                    &cur.fixed,
-                    next_fixed,
-                    overlay,
-                    stats,
-                    Some(hoistable),
-                    Some(persistent),
-                    &clock.ext,
-                )?;
-                match out {
-                    MoveOut::Parked => {}
-                    MoveOut::Full => {
-                        let st = cur.staging.as_ref().expect("staged");
-                        let tag = clock.issue_movement(
-                            st.source.plan(),
-                            mi,
-                            &st.pparams,
-                            Direction::Out,
-                            config,
-                            clock.now,
-                        )?;
-                        out_done = out_done.max(tag.done);
-                    }
-                    MoveOut::Delta => {
-                        let st = cur.staging.as_ref().expect("staged");
-                        let plan = st.source.plan();
-                        let buf = &plan.buffers[plan.movement[mi].buffer];
-                        let rp = flush_delta_plan(st, mi, &cur.fixed, next_fixed).expect("flushed");
-                        let tag = clock.issue_flush(rp, buf, &st.pparams, config, clock.now)?;
-                        out_done = out_done.max(tag.done);
-                    }
+                let Some(tag) = bs.move_out(&cur, mi, fixeds.get(t + 1))? else {
+                    continue;
+                };
+                if poisoned.is_some() {
+                    out_done = out_done.max(tag.done);
+                } else {
+                    bs.clock.wait(&tag);
                 }
             }
             if let Some(pr) = profiler {
                 pr.record(crate::trace::PassKind::MoveOut, t0.elapsed());
             }
         }
-        // Stage what prefetching skipped; these must observe t's
-        // writes, so they run after its move-out. `cur` now holds t's
-        // post-compute scratchpad — the residency predecessor.
-        if let Some(nx) = next.as_mut() {
-            let prev = cur.staging.as_ref().map(|cs| (&cur.fixed, &cs.local));
-            stage_remaining_sync(
-                kernel, nx, store, config, profiler, overlay, stats, hoistable, persistent, clock,
-                poisoned, out_done, true, prev,
-            )?;
-        }
-        reuse_ready = out_done;
-        match next {
-            Some(nx) => cur = nx,
-            None => break,
-        }
+        // `cur` stays live as the successor's residency predecessor: its
+        // scratchpad holds the newest value of every element (move-out
+        // copies out of it, never into it).
+        prev = Some(cur);
     }
-    Ok(())
+    // Deterministic writeback order (DMA timing depends on it).
+    let mut arrays: Vec<usize> = bs.persistent.keys().copied().collect();
+    arrays.sort_unstable();
+    for a in arrays {
+        bs.flush_parked(a)?;
+    }
+    let mut stats = bs.stats;
+    stats.block_cycles = bs.clock.dma.drain(bs.clock.now);
+    stats.dma = bs.clock.dma.stats;
+    Ok((bs.overlay, stats))
 }
 
 /// A global element read: the block's own buffered writes shadow the
@@ -3691,5 +3218,51 @@ mod tests {
             on.overlap_groups > 0,
             "independent group must still prefetch"
         );
+    }
+
+    #[test]
+    fn prefetched_hoisted_buffer_with_a_growing_footprint_is_bit_exact() {
+        // A is seq-invariant (§4.2 hoisting) yet its footprint grows
+        // with `jT` through the coupled dim `j`, so each sub-tile
+        // stages it at a new shape: the hoist shortcut misses, A is
+        // prefetched, and the move-in must drop the predecessor's
+        // parked copy instead of serving it.
+        let src = "program grow(N)\n\
+                   array A[N]\n\
+                   array B[N]\n\
+                   S1: for jT = 0 .. 3, j = jT .. jT, i = 0 .. j {\n\
+                     B[j] = B[j] + A[i]\n\
+                   }\n";
+        let p = polymem_ir::parse_program(src).unwrap();
+        let k = BlockedKernel {
+            program: p.clone(),
+            round_dims: vec![],
+            block_dims: vec![],
+            seq_dims: vec!["jT".into()],
+            thread_dims: vec![],
+            use_scratchpad: true,
+        };
+        assert!(seq_redundant_arrays(&k).contains(&p.array_index("A").unwrap()));
+        let params = [8i64];
+        let init = |st: &mut ArrayStore| st.fill_with("A", |ix| 10 * ix[0] + 1).unwrap();
+        let mut want = ArrayStore::for_program(&p, &params).unwrap();
+        init(&mut want);
+        exec_program(&p, &params, &mut want).unwrap();
+        for (double_buffer, residency) in [(false, false), (true, false), (true, true)] {
+            let mut cfg = MachineConfig::cell_like();
+            cfg.double_buffer = double_buffer;
+            cfg.residency = residency;
+            let mut st = ArrayStore::for_program(&p, &params).unwrap();
+            init(&mut st);
+            let stats = execute_blocked(&k, &params, &mut st, &cfg, false).unwrap();
+            assert_eq!(stats.overlap_groups > 0, double_buffer, "A prefetch");
+            for a in ["A", "B"] {
+                assert_eq!(
+                    st.data(a).unwrap(),
+                    want.data(a).unwrap(),
+                    "{a} diverges (double_buffer={double_buffer}, residency={residency})"
+                );
+            }
+        }
     }
 }
