@@ -56,9 +56,9 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Json {
-        self.out.write_all(line.as_bytes()).expect("send");
-        self.out.write_all(b"\n").expect("send");
-        self.out.flush().expect("flush");
+        self.out
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut resp = String::new();
         self.reader.read_line(&mut resp).expect("receive");
         Json::parse(resp.trim()).expect("daemon speaks JSON")

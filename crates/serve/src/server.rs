@@ -281,11 +281,13 @@ fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io:
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (resp, shutdown) = handle_line(&line, shared);
+        let (mut resp, shutdown) = handle_line(&line, shared);
         raw.clear();
+        // One write per framed line: a separate write for the newline
+        // would sit behind Nagle's algorithm until the client
+        // acknowledges the body, adding a delayed-ACK round trip.
+        resp.push('\n');
         out.write_all(resp.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
         if shutdown {
             shared.stop.store(true, Ordering::SeqCst);
             // Wake sibling workers parked in accept().
@@ -659,9 +661,7 @@ mod tests {
     }
 
     fn request(reader: &mut BufReader<TcpStream>, out: &mut TcpStream, line: &str) -> Json {
-        out.write_all(line.as_bytes()).unwrap();
-        out.write_all(b"\n").unwrap();
-        out.flush().unwrap();
+        out.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         Json::parse(resp.trim()).expect("response is JSON")
@@ -690,6 +690,27 @@ mod tests {
         assert_eq!(unknown.get("ok").unwrap().as_bool(), Some(false));
         let stats = request(&mut r, &mut w, r#"{"cmd":"stats"}"#);
         assert!(stats.get("requests").unwrap().as_i64().unwrap() >= 3);
+        h.shutdown();
+    }
+
+    #[test]
+    fn sequential_requests_on_one_connection_are_not_delayed() {
+        // Each response must leave in one write: a body and its
+        // newline written separately wait on the client's delayed ACK
+        // (tens of ms per request under Nagle's algorithm).
+        let h = start_local();
+        let (mut r, mut w) = client(h.addr());
+        request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
+        let t0 = std::time::Instant::now();
+        for _ in 0..20 {
+            let pong = request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
+            assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(200),
+            "20 pings took {elapsed:?}"
+        );
         h.shutdown();
     }
 
