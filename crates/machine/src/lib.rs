@@ -106,6 +106,9 @@ pub enum MachineError {
         /// whose worker panicked.
         block: usize,
     },
+    /// The autotuner produced no winner (empty candidate space, or no
+    /// candidate simulated successfully) or could not persist it.
+    Tune(String),
 }
 
 impl fmt::Display for MachineError {
@@ -143,6 +146,7 @@ impl fmt::Display for MachineError {
             MachineError::WorkerPanicked { block } => {
                 write!(f, "block worker panicked while executing block {block}")
             }
+            MachineError::Tune(msg) => write!(f, "tune: {msg}"),
         }
     }
 }

@@ -37,6 +37,7 @@ use polymem_core::tiling::bands::find_permutable_band;
 use polymem_core::tiling::legality::check_tiling;
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::{exec_program, ArrayStore, Program};
+use polymem_poly::dep::DirSign;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -244,10 +245,6 @@ pub fn cost_constants(config: &MachineConfig) -> CostConstants {
     }
 }
 
-fn tune_error(msg: &str) -> MachineError {
-    MachineError::Ir(polymem_ir::IrError::UnknownName(format!("tune: {msg}")))
-}
-
 /// Derive a candidate space for an arbitrary affine program from the
 /// §4.1 permutable-band analysis. `tile_sizes` is the per-dimension
 /// size menu (e.g. `[2, 4, 8]`); up to two loops are tiled.
@@ -262,25 +259,46 @@ pub fn generic_candidates(
         return Ok(Vec::new());
     };
     let names = lead.domain.space().dims().to_vec();
-    let space_names: Vec<String> = band
+    // Whether loop `l` carries a dependence that the `rounds` loops'
+    // barriers leave live. Only loops that carry none may become
+    // parallel blocks: the band's Space label is not enough, since in
+    // an all-carried band it marks every loop but the last for skewed,
+    // pipelined execution, which these candidates never apply.
+    let carries = |l: usize, rounds: &[usize]| {
+        band.deps.iter().any(|d| {
+            let live = rounds
+                .iter()
+                .all(|&r| !matches!(d.dep.direction(r), Ok(DirSign::Pos)));
+            live && !matches!(d.dep.direction(l), Ok(DirSign::Zero | DirSign::Empty))
+        })
+    };
+    let free: Vec<usize> = band
         .space_loops()
-        .iter()
-        .map(|&l| names[l].clone())
+        .into_iter()
+        .filter(|&l| !carries(l, &[]))
         .collect();
 
     // Choose round dims and the (up to two) loops worth tiling.
-    let mut round_dims: Vec<String> = Vec::new();
-    let tile_dims: Vec<String> = if !space_names.is_empty() {
-        space_names.iter().take(2).cloned().collect()
+    let mut round_loops: Vec<usize> = Vec::new();
+    let tile_loops: Vec<usize> = if !free.is_empty() {
+        free.into_iter().take(2).collect()
     } else if let Some(&first) = band.loops.first() {
         // All-time band (unskewed stencil): outermost time loop
         // becomes device-sync rounds, deeper loops become the tiling
         // targets (legality-checked per candidate).
-        round_dims.push(names[first].clone());
-        names.iter().skip(first + 1).take(2).cloned().collect()
+        round_loops.push(first);
+        (first + 1..names.len()).take(2).collect()
     } else {
         Vec::new()
     };
+    let round_dims: Vec<String> = round_loops.iter().map(|&l| names[l].clone()).collect();
+    let tile_dims: Vec<String> = tile_loops.iter().map(|&l| names[l].clone()).collect();
+    // A tile loop carrying a dependence the rounds leave live runs as
+    // sequential sub-tiles inside the block instead.
+    let parallel: Vec<bool> = tile_loops
+        .iter()
+        .map(|&l| !carries(l, &round_loops))
+        .collect();
 
     fn push_desc(program: &Program, out: &mut Vec<TuneCandidate>, desc: MappingDesc) -> Result<()> {
         if let Some(kernel) = tile_kernel(program, &desc)? {
@@ -341,14 +359,22 @@ pub fn generic_candidates(
             Ok(Err(_)) => continue,
             Err(e) => return Err(MachineError::Poly(e)),
         }
-        let block_all: Vec<String> = tile_dims.iter().map(|n| format!("{n}T")).collect();
+        let tile_loops_where = |par: bool| -> Vec<String> {
+            tile_dims
+                .iter()
+                .zip(&parallel)
+                .filter(|(_, &p)| p == par)
+                .map(|(n, _)| format!("{n}T"))
+                .collect()
+        };
+        let block_all = tile_loops_where(true);
         let thread = vec![tile_dims[0].clone()];
         let base_desc = MappingDesc {
             scheme: "tile".into(),
             tiles: tiles.clone(),
             round_dims: round_dims.clone(),
             block_dims: block_all.clone(),
-            seq_dims: vec![],
+            seq_dims: tile_loops_where(false),
             thread_dims: thread.clone(),
             use_scratchpad: true,
             double_buffer: false,
@@ -487,7 +513,7 @@ pub fn tune(
     opts: &TuneOptions,
 ) -> Result<TuneOutcome> {
     if candidates.is_empty() {
-        return Err(tune_error("empty candidate space"));
+        return Err(MachineError::Tune("empty candidate space".into()));
     }
     // The space description keys the artifact: any change to the
     // candidate set or the pruning shape re-searches.
@@ -645,7 +671,7 @@ pub fn tune(
         .filter(|(_, sim, exact)| sim.is_some() && *exact)
         .min_by_key(|(ri, sim, _)| (sim.unwrap(), *ri))
         .map(|(ri, _, _)| *ri)
-        .ok_or_else(|| tune_error("no candidate simulated successfully"))?;
+        .ok_or_else(|| MachineError::Tune("no candidate simulated successfully".into()))?;
     let winner = rows[winner_row].desc.clone();
     let winner_predicted = rows[winner_row].predicted;
     let winner_cycles = rows[winner_row].simulated.unwrap();
@@ -659,7 +685,7 @@ pub fn tune(
     };
     if let Some(dir) = &art_dir {
         art.save(Path::new(dir))
-            .map_err(|e| tune_error(&format!("artifact save: {e}")))?;
+            .map_err(|e| MachineError::Tune(format!("artifact save: {e}")))?;
     }
     Ok(TuneOutcome {
         key,

@@ -8,10 +8,11 @@
 //! fewer global bytes.
 
 use polymem::core::smem::tune::{estimate, CostEstimate, MappingDesc};
-use polymem::ir::ArrayStore;
+use polymem::ir::{init_random_store, parse_program, random_program, ArrayStore};
 use polymem::kernels::tunespace;
 use polymem::machine::{
-    config_for, cost_constants, structure_of, tune, warm_plan, MachineConfig, TuneOptions,
+    config_for, cost_constants, desc, generic_candidates, structure_of, tune, warm_plan,
+    MachineConfig, MachineError, TuneOptions,
 };
 
 /// Price one mapping of a built-in kernel with the analytic estimator
@@ -187,3 +188,154 @@ fn pruned_frontier_contains_the_simulated_optimum() {
         }
     }
 }
+
+/// ir::gen seeds whose outer band is all-carried: the §4.1 rule labels
+/// every band loop but the last as space (pipelined, skewed execution),
+/// and generic candidates that mapped those loops to parallel blocks
+/// computed wrong outputs.
+const CARRIED_BAND_SEEDS: [u64; 7] = [3, 15, 16, 33, 36, 39, 41];
+
+#[test]
+fn generic_candidates_keep_carried_loops_off_parallel_blocks() {
+    for seed in CARRIED_BAND_SEEDS {
+        let program = random_program(seed);
+        let params = [16i64];
+        for machine in ["gpu", "cell"] {
+            let base = desc::lookup(machine).unwrap().config();
+            let cands = generic_candidates(&program, &params, &base, &[2, 4, 8, 16]).unwrap();
+            let p = program.clone();
+            let init = move |st: &mut ArrayStore| init_random_store(&p, st, 42);
+            let out = tune(
+                &program,
+                &params,
+                &init,
+                &cands,
+                &base,
+                &TuneOptions {
+                    workers: 2,
+                    space_label: format!("props:carried:{seed}"),
+                    ..TuneOptions::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("seed {seed} on {machine}: {e}"));
+            assert!(out.simulated > 0, "seed {seed} on {machine}");
+            for r in &out.rows {
+                assert!(
+                    r.exact,
+                    "seed {seed} on {machine}: {} diverged",
+                    r.desc.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn tune_failures_are_typed() {
+    let program = random_program(0);
+    let err = tune(
+        &program,
+        &[8],
+        &|_: &mut ArrayStore| {},
+        &[],
+        &MachineConfig::geforce_8800_gtx(),
+        &TuneOptions::default(),
+    )
+    .unwrap_err();
+    assert!(matches!(err, MachineError::Tune(_)), "{err:?}");
+    assert_eq!(err.to_string(), "tune: empty candidate space");
+}
+
+/// Candidate spaces of the `.poly` examples in the benchmark's tune mix,
+/// recorded before block dims were restricted to dependence-free loops:
+/// blur3 carries no dependence and seidel tiles nothing, so neither
+/// list may change.
+#[test]
+fn poly_example_candidate_lists_are_unchanged() {
+    let labels = |name: &str, params: &[i64], machine: &str| -> Vec<String> {
+        let src = std::fs::read_to_string(format!(
+            "{}/examples/kernels/{name}.poly",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .unwrap();
+        let program = parse_program(&src).unwrap();
+        let base = desc::lookup(machine).unwrap().config();
+        generic_candidates(&program, params, &base, &[2, 4, 8, 16])
+            .unwrap()
+            .iter()
+            .map(|c| c.desc.label())
+            .collect()
+    };
+    for (machine, vw) in [("gpu", "vw8"), ("cell", "vw4")] {
+        let blur3: Vec<String> = BLUR3_CANDIDATES
+            .lines()
+            .filter(|l| !l.is_empty())
+            .map(|l| l.replace("vw8", vw))
+            .collect();
+        assert_eq!(
+            labels("blur3", &[16, 4], machine),
+            blur3,
+            "blur3 on {machine}"
+        );
+        assert_eq!(
+            labels("seidel", &[4, 16], machine),
+            [
+                format!("tile[] rnd[t] spad {vw}"),
+                format!("tile[] rnd[t] {vw}")
+            ],
+            "seidel on {machine}"
+        );
+    }
+}
+
+const BLUR3_CANDIDATES: &str = "
+tile[r=2,i=2] blk[rT,iT] thr[r] spad vw8
+tile[r=2,i=2] blk[rT,iT] thr[r] vw8
+tile[r=2,i=2] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=2,i=2] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=2,i=4] blk[rT,iT] thr[r] spad vw8
+tile[r=2,i=4] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=2,i=4] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=2,i=8] blk[rT,iT] thr[r] spad vw8
+tile[r=2,i=8] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=2,i=8] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=2,i=16] blk[rT,iT] thr[r] spad vw8
+tile[r=2,i=16] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=2,i=16] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=4,i=2] blk[rT,iT] thr[r] spad vw8
+tile[r=4,i=2] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=4,i=2] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=4,i=4] blk[rT,iT] thr[r] spad vw8
+tile[r=4,i=4] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=4,i=4] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=4,i=8] blk[rT,iT] thr[r] spad vw8
+tile[r=4,i=8] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=4,i=8] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=4,i=16] blk[rT,iT] thr[r] spad vw8
+tile[r=4,i=16] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=4,i=16] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=8,i=2] blk[rT,iT] thr[r] spad vw8
+tile[r=8,i=2] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=8,i=2] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=8,i=4] blk[rT,iT] thr[r] spad vw8
+tile[r=8,i=4] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=8,i=4] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=8,i=8] blk[rT,iT] thr[r] spad vw8
+tile[r=8,i=8] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=8,i=8] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=8,i=16] blk[rT,iT] thr[r] spad vw8
+tile[r=8,i=16] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=8,i=16] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=16,i=2] blk[rT,iT] thr[r] spad vw8
+tile[r=16,i=2] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=16,i=2] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=16,i=4] blk[rT,iT] thr[r] spad vw8
+tile[r=16,i=4] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=16,i=4] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=16,i=8] blk[rT,iT] thr[r] spad vw8
+tile[r=16,i=8] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=16,i=8] blk[rT] seq[iT] thr[r] spad db res vw8
+tile[r=16,i=16] blk[rT,iT] thr[r] spad vw8
+tile[r=16,i=16] blk[rT] seq[iT] thr[r] spad res vw8
+tile[r=16,i=16] blk[rT] seq[iT] thr[r] spad db res vw8
+";
