@@ -37,7 +37,7 @@ use polymem_core::tiling::bands::find_permutable_band;
 use polymem_core::tiling::legality::check_tiling;
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::{exec_program, ArrayStore, Program};
-use polymem_poly::dep::DirSign;
+use polymem_poly::dep::{DepKind, DirSign};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -259,29 +259,12 @@ pub fn generic_candidates(
         return Ok(Vec::new());
     };
     let names = lead.domain.space().dims().to_vec();
-    // Whether loop `l` carries a dependence that the `rounds` loops'
-    // barriers leave live. Only loops that carry none may become
-    // parallel blocks: the band's Space label is not enough, since in
-    // an all-carried band it marks every loop but the last for skewed,
-    // pipelined execution, which these candidates never apply.
-    let carries = |l: usize, rounds: &[usize]| {
-        band.deps.iter().any(|d| {
-            let live = rounds
-                .iter()
-                .all(|&r| !matches!(d.dep.direction(r), Ok(DirSign::Pos)));
-            live && !matches!(d.dep.direction(l), Ok(DirSign::Zero | DirSign::Empty))
-        })
-    };
-    let free: Vec<usize> = band
-        .space_loops()
-        .into_iter()
-        .filter(|&l| !carries(l, &[]))
-        .collect();
+    let space_loops = band.space_loops();
 
     // Choose round dims and the (up to two) loops worth tiling.
     let mut round_loops: Vec<usize> = Vec::new();
-    let tile_loops: Vec<usize> = if !free.is_empty() {
-        free.into_iter().take(2).collect()
+    let tile_loops: Vec<usize> = if !space_loops.is_empty() {
+        space_loops.into_iter().take(2).collect()
     } else if let Some(&first) = band.loops.first() {
         // All-time band (unskewed stencil): outermost time loop
         // becomes device-sync rounds, deeper loops become the tiling
@@ -293,11 +276,26 @@ pub fn generic_candidates(
     };
     let round_dims: Vec<String> = round_loops.iter().map(|&l| names[l].clone()).collect();
     let tile_dims: Vec<String> = tile_loops.iter().map(|&l| names[l].clone()).collect();
-    // A tile loop carrying a dependence the rounds leave live runs as
-    // sequential sub-tiles inside the block instead.
+    // A tile loop may become parallel blocks only when it carries no
+    // flow or output dependence that the round barriers leave live;
+    // otherwise its tiles run as sequential sub-tiles inside the block.
+    // The band's Space label is not enough: in an all-carried band it
+    // marks every loop but the last for skewed, pipelined execution,
+    // which these candidates never apply. Anti dependences are safe
+    // across blocks, which read the round's snapshot and never see
+    // each other's writes.
     let parallel: Vec<bool> = tile_loops
         .iter()
-        .map(|&l| !carries(l, &round_loops))
+        .map(|&l| {
+            !band.deps.iter().any(|d| {
+                let live = round_loops
+                    .iter()
+                    .all(|&r| !matches!(d.dep.direction(r), Ok(DirSign::Pos)));
+                d.dep.kind != DepKind::Anti
+                    && live
+                    && !matches!(d.dep.direction(l), Ok(DirSign::Zero | DirSign::Empty))
+            })
+        })
         .collect();
 
     fn push_desc(program: &Program, out: &mut Vec<TuneCandidate>, desc: MappingDesc) -> Result<()> {

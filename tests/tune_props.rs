@@ -191,8 +191,8 @@ fn pruned_frontier_contains_the_simulated_optimum() {
 
 /// ir::gen seeds whose outer band is all-carried: the §4.1 rule labels
 /// every band loop but the last as space (pipelined, skewed execution),
-/// and generic candidates that mapped those loops to parallel blocks
-/// computed wrong outputs.
+/// and mapping those loops to parallel blocks without skewing computes
+/// wrong outputs.
 const CARRIED_BAND_SEEDS: [u64; 7] = [3, 15, 16, 33, 36, 39, 41];
 
 #[test]
@@ -246,10 +246,9 @@ fn tune_failures_are_typed() {
     assert_eq!(err.to_string(), "tune: empty candidate space");
 }
 
-/// Candidate spaces of the `.poly` examples in the benchmark's tune mix,
-/// recorded before block dims were restricted to dependence-free loops:
-/// blur3 carries no dependence and seidel tiles nothing, so neither
-/// list may change.
+/// Candidate spaces of the `.poly` examples in the benchmark's tune mix.
+/// blur3 carries no dependence and seidel tiles nothing, so keeping
+/// carried loops off parallel blocks must leave both lists as they are.
 #[test]
 fn poly_example_candidate_lists_are_unchanged() {
     let labels = |name: &str, params: &[i64], machine: &str| -> Vec<String> {
