@@ -1180,8 +1180,7 @@ impl BlockClock {
     /// global DMA rate, delaying the delta's start. The tag therefore
     /// always completes no later than the full transfer it replaces
     /// (the retained bytes leave the 1×-rate payload and come back as
-    /// a 4×-rate local copy), in both the synchronous and the
-    /// double-buffered schedule.
+    /// a 4×-rate local copy), at either scheduler depth.
     fn issue_delta(
         &mut self,
         rp: &RetainPlan,
@@ -1320,11 +1319,11 @@ fn buffer_poisoned(plan: &SmemPlan, mi: usize, poisoned: &HashSet<AccessId>) -> 
         .any(|(id, la)| la.buffer == b && poisoned.contains(id))
 }
 
-/// Whether the synchronous path would serve this (read-only) buffer
-/// from the §4.2 persistent copy for free: the array is
-/// hoist-eligible and its buffer shape (extents and offsets) does not
-/// shift between the current and the next sub-tile. Prefetching such
-/// a buffer would only add global traffic.
+/// Whether staging `next` after `cur` parks its buffers would serve
+/// this (read-only) buffer from the §4.2 persistent copy for free: the
+/// array is hoist-eligible and its buffer shape (extents and offsets)
+/// does not shift between the two sub-tiles. Prefetching such a buffer
+/// would only add global traffic.
 fn hoist_shortcut_hits(
     cur: &SubBlock,
     next: &Staging,
@@ -1340,7 +1339,7 @@ fn hoist_shortcut_hits(
             let cplan = cs.source.plan();
             // Plans of consecutive sub-tiles share buffer layout
             // (same shape class); anything else is unexpected, so be
-            // conservative and keep the synchronous schedule.
+            // conservative and stage it after `cur` instead.
             bi >= cplan.buffers.len()
                 || cplan.buffers[bi].array != array
                 || (cs.local.bufs[bi].1 == next.local.bufs[bi].1
