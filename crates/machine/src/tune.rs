@@ -357,7 +357,7 @@ pub fn generic_candidates(
             Ok(Err(_)) => continue,
             Err(e) => return Err(MachineError::Poly(e)),
         }
-        let tile_loops_where = |par: bool| -> Vec<String> {
+        let tiled_dims = |par: bool| -> Vec<String> {
             tile_dims
                 .iter()
                 .zip(&parallel)
@@ -365,14 +365,14 @@ pub fn generic_candidates(
                 .map(|(n, _)| format!("{n}T"))
                 .collect()
         };
-        let block_all = tile_loops_where(true);
+        let block_all = tiled_dims(true);
         let thread = vec![tile_dims[0].clone()];
         let base_desc = MappingDesc {
             scheme: "tile".into(),
             tiles: tiles.clone(),
             round_dims: round_dims.clone(),
             block_dims: block_all.clone(),
-            seq_dims: tile_loops_where(false),
+            seq_dims: tiled_dims(false),
             thread_dims: thread.clone(),
             use_scratchpad: true,
             double_buffer: false,
