@@ -1710,8 +1710,17 @@ impl BlockState<'_> {
         let mc = &plan.movement[mi];
         let buf = &plan.buffers[mc.buffer];
         if plan_hoists(plan, buf.array, &self.hoistable) {
-            let prev_dirty = self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
             let (data, extents, offsets) = st.local.bufs[mc.buffer].clone();
+            // A parked copy of another shape holds elements this one
+            // may not cover: write it back before it is replaced.
+            if self
+                .persistent
+                .get(&buf.array)
+                .is_some_and(|q| q.extents != extents || q.offsets != offsets)
+            {
+                self.flush_parked(buf.array)?;
+            }
+            let prev_dirty = self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
             self.persistent.insert(
                 buf.array,
                 Persistent {

@@ -700,16 +700,19 @@ mod tests {
         // (tens of ms per request under Nagle's algorithm).
         let h = start_local();
         let (mut r, mut w) = client(h.addr());
+        // The stall is paid by every request, so the fastest of 20
+        // separates the two however loaded the host is.
         request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
-        let t0 = std::time::Instant::now();
+        let mut fastest = std::time::Duration::MAX;
         for _ in 0..20 {
+            let t0 = std::time::Instant::now();
             let pong = request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
+            fastest = fastest.min(t0.elapsed());
             assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
         }
-        let elapsed = t0.elapsed();
         assert!(
-            elapsed < std::time::Duration::from_millis(200),
-            "20 pings took {elapsed:?}"
+            fastest < std::time::Duration::from_millis(20),
+            "fastest of 20 pings took {fastest:?}"
         );
         h.shutdown();
     }
