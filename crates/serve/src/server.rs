@@ -250,8 +250,12 @@ impl Drop for ServerHandle {
 /// timeout so a worker parked on an idle connection notices `stop`
 /// (otherwise [`ServerHandle::shutdown`] would join it forever);
 /// `read_until` keeps partially received bytes across timeouts.
+/// Responses go out with `TCP_NODELAY`: a client that pipelines has not
+/// acknowledged the previous response when the next one is written, and
+/// Nagle's algorithm would hold that one for the client's delayed ACK.
 fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let mut raw: Vec<u8> = Vec::new();
@@ -283,9 +287,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io:
         shared.requests.fetch_add(1, Ordering::Relaxed);
         let (mut resp, shutdown) = handle_line(&line, shared);
         raw.clear();
-        // One write per framed line: a separate write for the newline
-        // would sit behind Nagle's algorithm until the client
-        // acknowledges the body, adding a delayed-ACK round trip.
+        // One write per framed line, so each response is one segment.
         resp.push('\n');
         out.write_all(resp.as_bytes())?;
         if shutdown {
@@ -713,6 +715,35 @@ mod tests {
         assert!(
             fastest < std::time::Duration::from_millis(20),
             "fastest of 20 pings took {fastest:?}"
+        );
+        h.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_on_one_connection_are_not_delayed() {
+        // A client that sends its next request before the previous
+        // response arrives has not acknowledged that response yet, so
+        // under Nagle's algorithm the second response waits for the
+        // client's delayed ACK (tens of ms).
+        let h = start_local();
+        let (mut r, mut w) = client(h.addr());
+        request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
+        let mut fastest = std::time::Duration::MAX;
+        for _ in 0..10 {
+            let t0 = std::time::Instant::now();
+            w.write_all(b"{\"cmd\":\"ping\"}\n{\"cmd\":\"ping\"}\n")
+                .unwrap();
+            for _ in 0..2 {
+                let mut resp = String::new();
+                r.read_line(&mut resp).unwrap();
+                let pong = Json::parse(resp.trim()).expect("response is JSON");
+                assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+            }
+            fastest = fastest.min(t0.elapsed());
+        }
+        assert!(
+            fastest < std::time::Duration::from_millis(20),
+            "fastest of 10 pipelined ping pairs took {fastest:?}"
         );
         h.shutdown();
     }
